@@ -60,11 +60,15 @@ type t = {
           core and interpreters to notice self-modifying code *)
   mutable map_watch : (map_event -> unit) list;
       (** called on every map/unmap, before the pages change *)
+  mutable gen : int;
+      (** bumped by every [map], [unmap], [protect] and [restore]: a
+          cache of pages or permissions (the host interpreter's TLB) is
+          valid only while [gen] is the value it was filled under *)
 }
 
 let create () =
   { pages = Hashtbl.create 1024; bytes_mapped = 0; store_watch = [];
-    map_watch = [] }
+    map_watch = []; gen = 0 }
 
 let add_store_watch t f = t.store_watch <- f :: t.store_watch
 let notify_store t addr size = List.iter (fun f -> f addr size) t.store_watch
@@ -77,6 +81,9 @@ let page_index (addr : int64) =
 let page_offset (addr : int64) = Int64.to_int (Int64.logand addr 0xFFFL)
 
 let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
+
+(** The page with index [pi] (see {!page_index}), if it is mapped. *)
+let find_page t pi = Hashtbl.find_opt t.pages pi
 
 let perm_at t addr =
   match Hashtbl.find_opt t.pages (page_index addr) with
@@ -99,6 +106,7 @@ let iter_pages addr len f =
     existing mapping would zero it — we zero too when [zero] is true). *)
 let map ?(zero = true) t ~addr ~len ~perm =
   if len > 0 then notify_map t (Mapped { addr; len; perm; zero });
+  t.gen <- t.gen + 1;
   iter_pages addr len (fun pi ->
       match Hashtbl.find_opt t.pages pi with
       | Some p ->
@@ -110,6 +118,7 @@ let map ?(zero = true) t ~addr ~len ~perm =
 
 let unmap t ~addr ~len =
   if len > 0 then notify_map t (Unmapped { addr; len });
+  t.gen <- t.gen + 1;
   iter_pages addr len (fun pi ->
       if Hashtbl.mem t.pages pi then begin
         Hashtbl.remove t.pages pi;
@@ -117,6 +126,7 @@ let unmap t ~addr ~len =
       end)
 
 let protect t ~addr ~len ~perm =
+  t.gen <- t.gen + 1;
   iter_pages addr len (fun pi ->
       match Hashtbl.find_opt t.pages pi with
       | Some p -> p.perm <- perm
@@ -284,6 +294,7 @@ let snapshot (t : t) : snap =
     s_bytes_mapped = t.bytes_mapped }
 
 let restore (t : t) (s : snap) : unit =
+  t.gen <- t.gen + 1;
   Hashtbl.reset t.pages;
   List.iter
     (fun (pi, data, perm) ->

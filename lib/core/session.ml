@@ -211,6 +211,8 @@ type t = {
   events : Events.t;
   errors : Errors.t;
   threads : Threads.t;
+  henv : Vex_ir.Helpers.env;
+      (** the helper environment translations and IR interpretation use *)
   transtab : Transtab.t;
   cores : Engine.t array;  (** the simulated cores, indexed by id *)
   mutable active : Engine.t;  (** the core currently stepping *)
@@ -425,6 +427,20 @@ let symbolize_with (img : Guest.Image.t) (addr : int64) : string =
       else Printf.sprintf "%s+0x%LX" name (Int64.sub addr base)
   | _ -> Printf.sprintf "0x%LX" addr
 
+(* The helper environment: guest-state access goes to the *current*
+   thread's ThreadState, read when a helper runs, so one value serves
+   the whole session; memory goes to the shared address space. *)
+let helper_env (threads : Threads.t) (mem : Aspace.t) : Vex_ir.Helpers.env =
+  {
+    he_get_guest =
+      (fun off size -> Threads.get_state threads threads.current ~off ~size);
+    he_put_guest =
+      (fun off size v ->
+        Threads.put_state threads threads.current ~off ~size v);
+    he_load = (fun addr size -> Aspace.read mem addr size);
+    he_store = (fun addr size v -> Aspace.write mem addr size v);
+  }
+
 let create ?(options = default_options) ~(tool : Tool.t)
     (image : Guest.Image.t) : t =
   let mem = Aspace.create () in
@@ -450,6 +466,7 @@ let create ?(options = default_options) ~(tool : Tool.t)
       events;
       errors;
       threads;
+      henv = helper_env threads mem;
       transtab =
         Transtab.create ~events ~capacity:options.transtab_capacity
           ~shards:options.cores ();
@@ -592,19 +609,6 @@ let resolve_fn (s : t) (pc : int64) : string * int64 =
       in
       Hashtbl.replace s.fn_cache pc r;
       r
-
-(* The helper environment: guest-state access goes to the *current*
-   thread's ThreadState; memory to the shared address space. *)
-let helper_env (s : t) : Vex_ir.Helpers.env =
-  {
-    he_get_guest =
-      (fun off size -> Threads.get_state s.threads s.threads.current ~off ~size);
-    he_put_guest =
-      (fun off size v ->
-        Threads.put_state s.threads s.threads.current ~off ~size v);
-    he_load = (fun addr size -> Aspace.read s.mem addr size);
-    he_store = (fun addr size v -> Aspace.write s.mem addr size v);
-  }
 
 (* Core client-space allocator (backs replacement heap allocators). *)
 let client_alloc (s : t) (size : int) : int64 =
@@ -1605,7 +1609,7 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
       (* interpretation is slower than compiled code; charge for it *)
       let interp_cost = 8 * Support.Vec.length ir.Vex_ir.Ir.stmts in
       charge s interp_cost;
-      match Vex_ir.Eval.run (helper_env s) ir with
+      match Vex_ir.Eval.run s.henv ir with
       | exception Aspace.Fault f ->
           output s
             (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
@@ -1697,10 +1701,9 @@ let run_block (s : t) =
         else t
       in
       t.t_hotness <- Int64.add t.t_hotness 1L;
-      e.Engine.cpu.hregs.(HA.gsp) <- th.ts_addr;
-      let env = helper_env s in
+      Host.Interp.set_reg e.Engine.cpu HA.gsp th.ts_addr;
       let prof_cycles0 = e.Engine.cpu.cycles in
-      match Host.Interp.run e.Engine.cpu ~env t.t_decoded with
+      match Host.Interp.run e.Engine.cpu ~env:s.henv t.t_decoded with
       | exception Aspace.Fault f ->
           e.Engine.last_exit <- None;
           output s

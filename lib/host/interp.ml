@@ -6,8 +6,8 @@
     routed through the global {!Vex_ir.Helpers} table with an environment
     that accesses the same simulated address space the guest lives in.
 
-    Cycle accounting uses {!Arch.cost}; the dispatcher/scheduler add
-    their own costs on top (paper §3.9). *)
+    Cycle accounting charges {!Arch.cost} for every instruction run; the
+    dispatcher/scheduler add their own costs on top (paper §3.9). *)
 
 open Arch
 open Support
@@ -15,39 +15,57 @@ open Support
 (** Raised when translated code divides by zero (guest SIGFPE). *)
 exception Host_sigfpe
 
+(** Entries in each cpu's software TLB (a power of two). *)
+let tlb_size = 64
+
 type cpu = {
-  hregs : int64 array;  (** h0..h15 *)
+  hregs : Bytes.t;  (** h0..h15, 8 bytes each, little-endian *)
   hvregs : V128.t array;  (** hv0..hv7 *)
   mem : Aspace.t;
   mutable cycles : int64;
   mutable insns : int64;
+  tlb_rtag : int array;
+      (** per slot, the page index cached there if it is readable, else -1 *)
+  tlb_wtag : int array;  (** the same for writable pages *)
+  tlb_data : Bytes.t array;  (** the cached page's bytes *)
+  mutable tlb_gen : int;  (** the [mem.gen] the tags were filled under *)
+  call_args : int64 array array;
+      (** one helper argument buffer per arity, [0..n_hregs] *)
 }
 
 let create mem =
   {
-    hregs = Array.make n_hregs 0L;
+    hregs = Bytes.make (8 * n_hregs) '\000';
     hvregs = Array.make n_hvregs V128.zero;
     mem;
     cycles = 0L;
     insns = 0L;
+    tlb_rtag = Array.make tlb_size (-1);
+    tlb_wtag = Array.make tlb_size (-1);
+    tlb_data = Array.make tlb_size Bytes.empty;
+    tlb_gen = mem.Aspace.gen;
+    call_args = Array.init (n_hregs + 1) (fun n -> Array.make n 0L);
   }
 
-let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
-  let fin v = match w with W32 -> Bits.trunc32 v | W64 -> v in
+(** Host register [i]. *)
+let reg (cpu : cpu) i = Bytes.get_int64_le cpu.hregs (i lsl 3)
+
+let set_reg (cpu : cpu) i v = Bytes.set_int64_le cpu.hregs (i lsl 3) v
+
+(* [alu_eval] for the operations translations use least *)
+let alu_rest (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
   let a32 () = Bits.sext32 a and b32 () = Bits.sext32 b in
   match (op, w) with
-  | Add, _ -> fin (Int64.add a b)
-  | Sub, _ -> fin (Int64.sub a b)
-  | And, _ -> fin (Int64.logand a b)
-  | Or, _ -> fin (Int64.logor a b)
-  | Xor, _ -> fin (Int64.logxor a b)
+  | (Add | Sub | And | Or | Xor | CmpEq | CmpNe), _ ->
+      invalid_arg "Host.Interp.alu_rest: handled by alu_eval"
   | Shl, W32 -> Bits.shl32 a b
   | Shl, W64 -> Bits.shl64 a b
   | Shr, W32 -> Bits.shr32 a b
   | Shr, W64 -> Bits.shr64 a b
   | Sar, W32 -> Bits.sar32 a b
   | Sar, W64 -> Bits.sar64 a b
-  | Mul, _ -> fin (Int64.mul a b)
+  | Mul, W32 -> Bits.trunc32 (Int64.mul a b)
+  | Mul, W64 -> Int64.mul a b
   | Mulhs, W32 ->
       Bits.trunc32 (Int64.shift_right (Int64.mul (a32 ()) (b32 ())) 32)
   | Mulhs, W64 ->
@@ -75,10 +93,6 @@ let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
       if Bits.trunc32 b = 0L then raise Host_sigfpe
       else Bits.trunc32 (Int64.unsigned_div (Bits.trunc32 a) (Bits.trunc32 b))
   | Divu, W64 -> if b = 0L then raise Host_sigfpe else Int64.unsigned_div a b
-  | CmpEq, W32 -> Bits.bool64 (Bits.trunc32 a = Bits.trunc32 b)
-  | CmpEq, W64 -> Bits.bool64 (a = b)
-  | CmpNe, W32 -> Bits.bool64 (Bits.trunc32 a <> Bits.trunc32 b)
-  | CmpNe, W64 -> Bits.bool64 (a <> b)
   | CmpLts, W32 -> Bits.bool64 (Bits.cmp32s a b < 0)
   | CmpLts, W64 -> Bits.bool64 (Int64.compare a b < 0)
   | CmpLes, W32 -> Bits.bool64 (Bits.cmp32s a b <= 0)
@@ -87,6 +101,35 @@ let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
   | CmpLtu, W64 -> Bits.bool64 (Int64.unsigned_compare a b < 0)
   | CmpLeu, W32 -> Bits.bool64 (Bits.cmp32u a b <= 0)
   | CmpLeu, W64 -> Bits.bool64 (Int64.unsigned_compare a b <= 0)
+
+(** [op] at width [w]; a W32 result is zero-extended.  The operations
+    translations use most are written so that [run] inlines them and
+    boxes no value; the rest go to [alu_rest]. *)
+let[@inline] alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) :
+    int64 =
+  let m32 = 0xFFFF_FFFFL in
+  match (w, op) with
+  | W32, Add -> Int64.logand (Int64.add a b) m32
+  | W64, Add -> Int64.add a b
+  | W32, Sub -> Int64.logand (Int64.sub a b) m32
+  | W64, Sub -> Int64.sub a b
+  | W32, And -> Int64.logand (Int64.logand a b) m32
+  | W64, And -> Int64.logand a b
+  | W32, Or -> Int64.logand (Int64.logor a b) m32
+  | W64, Or -> Int64.logor a b
+  | W32, Xor -> Int64.logand (Int64.logxor a b) m32
+  | W64, Xor -> Int64.logxor a b
+  | W32, CmpEq -> if Int64.logand (Int64.logxor a b) m32 = 0L then 1L else 0L
+  | W64, CmpEq -> if a = b then 1L else 0L
+  | W32, CmpNe -> if Int64.logand (Int64.logxor a b) m32 = 0L then 0L else 1L
+  | W64, CmpNe -> if a = b then 0L else 1L
+  | _ -> alu_rest w op a b
+
+(* {!Arch.cost} of an [Alu]/[Alui] with operation [op] *)
+let[@inline] alu_cost = function
+  | Mul | Mulhs -> 3
+  | Divs | Divu -> 20
+  | _ -> 1
 
 let falu_eval op a b =
   let fa = Bits.float_of_bits a and fb = Bits.float_of_bits b in
@@ -123,6 +166,99 @@ let valu_eval op a b =
   | VAdd8 -> V128.add8x16 a b
   | VSub8 -> V128.sub8x16 a b
 
+(** {2 The software TLB}
+
+    Translated code reaches client memory and the ThreadState through
+    [Ld]/[St], and an {!Aspace} page-table lookup on each would dominate
+    the interpreter's time.  Each cpu caches up to {!tlb_size} pages, direct-mapped by
+    page index, split into a read tag and a write tag so that one
+    compare checks both the page and its permission.  Anything the
+    cache cannot answer exactly (a miss, an access that crosses a page,
+    a missing permission, a size other than 1/2/4/8) goes to
+    {!Aspace.read}/{!Aspace.write}, which raise the precise
+    {!Aspace.Fault}.  The cache is invalidated wholesale whenever
+    [mem.gen] moves, i.e. after any map, unmap, protect or restore. *)
+
+let tlb_flush (cpu : cpu) =
+  Array.fill cpu.tlb_rtag 0 tlb_size (-1);
+  Array.fill cpu.tlb_wtag 0 tlb_size (-1);
+  (* drop the pages too, so unmapped ones can be collected *)
+  Array.fill cpu.tlb_data 0 tlb_size Bytes.empty;
+  cpu.tlb_gen <- cpu.mem.Aspace.gen
+
+let[@inline] tlb_sync (cpu : cpu) =
+  if cpu.tlb_gen <> cpu.mem.Aspace.gen then tlb_flush cpu
+
+(* {!Aspace}'s page geometry.  For [addr32 addr], [lsr page_shift] is
+   {!Aspace.page_index} and [land page_mask] is {!Aspace.page_offset}. *)
+let page_shift = Aspace.page_shift
+let page_mask = Aspace.page_size - 1
+
+(* [addr] truncated to 32 bits, as {!Aspace} reads addresses *)
+let[@inline] addr32 (addr : int64) = Int64.to_int addr land 0xFFFF_FFFF
+
+(* A miss: cache the page for next time (unless the access crosses
+   it), then let the address space do, or refuse, this access. *)
+let tlb_refill (cpu : cpu) (addr : int64) (sz : int) =
+  let a = addr32 addr in
+  let pi = a lsr page_shift in
+  if (a land page_mask) + sz <= Aspace.page_size then
+    match Aspace.find_page cpu.mem pi with
+    | None -> ()
+    | Some p ->
+        let slot = pi land (tlb_size - 1) in
+        cpu.tlb_data.(slot) <- p.Aspace.data;
+        cpu.tlb_rtag.(slot) <- (if p.Aspace.perm.r then pi else -1);
+        cpu.tlb_wtag.(slot) <- (if p.Aspace.perm.w then pi else -1)
+
+let load_slow (cpu : cpu) (addr : int64) (sz : int) : int64 =
+  tlb_refill cpu addr sz;
+  Aspace.read cpu.mem addr sz
+
+let store_slow (cpu : cpu) (addr : int64) (sz : int) (v : int64) =
+  tlb_refill cpu addr sz;
+  Aspace.write cpu.mem addr sz v;
+  (* a store watcher may have changed the mappings *)
+  tlb_sync cpu
+
+let[@inline] load (cpu : cpu) (addr : int64) (sz : int) : int64 =
+  let a = addr32 addr in
+  let pi = a lsr page_shift and off = a land page_mask in
+  let slot = pi land (tlb_size - 1) in
+  if Array.unsafe_get cpu.tlb_rtag slot = pi && off + sz <= Aspace.page_size
+  then
+    let d = Array.unsafe_get cpu.tlb_data slot in
+    match sz with
+    | 8 -> Bytes.get_int64_le d off
+    | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le d off)) 0xFFFF_FFFFL
+    | 1 -> Int64.of_int (Bytes.get_uint8 d off)
+    | 2 -> Int64.of_int (Bytes.get_uint16_le d off)
+    | _ -> Aspace.read cpu.mem addr sz
+  else load_slow cpu addr sz
+
+let[@inline] store (cpu : cpu) (addr : int64) (sz : int) (v : int64) =
+  let a = addr32 addr in
+  let pi = a lsr page_shift and off = a land page_mask in
+  let slot = pi land (tlb_size - 1) in
+  if
+    Array.unsafe_get cpu.tlb_wtag slot = pi
+    && off + sz <= Aspace.page_size
+    && (sz = 8 || sz = 4 || sz = 1 || sz = 2)
+  then begin
+    let d = Array.unsafe_get cpu.tlb_data slot in
+    (match sz with
+    | 8 -> Bytes.set_int64_le d off v
+    | 4 -> Bytes.set_int32_le d off (Int64.to_int32 v)
+    | 1 -> Bytes.set_uint8 d off (Int64.to_int v land 0xFF)
+    | _ -> Bytes.set_uint16_le d off (Int64.to_int v land 0xFFFF));
+    match cpu.mem.Aspace.store_watch with
+    | [] -> ()
+    | _ ->
+        Aspace.notify_store cpu.mem addr sz;
+        tlb_sync cpu
+  end
+  else store_slow cpu addr sz v
+
 (** Execute decoded translation [code] until an exit instruction fires.
     Returns the exit kind, the next guest PC, and the index in [code] of
     the exit instruction that fired — the "exit site".  A site whose
@@ -130,73 +266,149 @@ let valu_eval op a b =
     translation chaining patches: the core maps the index back to the
     translation's chain slot to decide whether the transfer can bypass
     the dispatcher.  [env] is the helper environment (built by the core
-    around the current ThreadState). *)
+    around the current ThreadState).  Running off the end of [code]
+    without an exit (an empty [code] included) is a JIT bug and raises
+    [Invalid_argument].
+
+    Moves, loads, stores and the common ALU operations neither look
+    anything up nor allocate: registers are unboxed in [hregs] and
+    memory goes through the TLB.  A helper's arguments are copied into
+    the cpu's buffer for that arity, so a helper must not keep its
+    [args] array after it returns. *)
 let run (cpu : cpu) ~(env : Vex_ir.Helpers.env) (code : insn array) :
     exit_kind * int64 * int =
   let r = cpu.hregs and v = cpu.hvregs in
-  let mem = cpu.mem in
+  let[@inline] get i = Bytes.get_int64_le r (i lsl 3) in
+  let[@inline] set i x = Bytes.set_int64_le r (i lsl 3) x in
+  tlb_sync cpu;
   let pc = ref 0 in
   let cycles = ref 0 in
   let steps = ref 0 in
-  let result = ref None in
+  (* the exit that fired: [site] stays -1 while the block runs *)
+  let site = ref (-1) in
+  let ek = ref 0 in
+  let dest = ref 0L in
   let n = Array.length code in
-  while !result = None && !pc < n do
+  while !site < 0 do
+    if !pc >= n then
+      (* fell off the end of a translation: a JIT bug *)
+      invalid_arg "Host.Interp.run: translation fell through";
     let i = code.(!pc) in
     incr pc;
-    cycles := !cycles + cost i;
     incr steps;
-    (match i with
-    | Movi (d, imm) -> r.(d) <- imm
-    | Mov (d, s) -> r.(d) <- r.(s)
-    | Alu (w, op, d, s1, s2) -> r.(d) <- alu_eval w op r.(s1) r.(s2)
-    | Alui (w, op, d, s1, imm) -> r.(d) <- alu_eval w op r.(s1) imm
-    | Ld (sz, sx, d, b, disp) ->
-        let addr = Int64.add r.(b) (Int64.of_int disp) in
-        let x = Aspace.read mem addr sz in
-        r.(d) <-
-          (if sx then
-             match sz with
-             | 1 -> Bits.sext8 x
-             | 2 -> Bits.sext16 x
-             | 4 -> Bits.sext32 x
-             | _ -> x
-           else x)
-    | St (sz, s, b, disp) ->
-        Aspace.write mem (Int64.add r.(b) (Int64.of_int disp)) sz r.(s)
-    | Cmov (d, c, s) -> if r.(c) <> 0L then r.(d) <- r.(s)
-    | Falu (op, d, s1, s2) -> r.(d) <- falu_eval op r.(s1) r.(s2)
-    | Fun1 (op, d, s) -> r.(d) <- fun1_eval op r.(s)
-    | Vld (d, b, disp) ->
-        let addr = Int64.add r.(b) (Int64.of_int disp) in
-        v.(d) <-
-          V128.make ~lo:(Aspace.read mem addr 8)
-            ~hi:(Aspace.read mem (Int64.add addr 8L) 8)
-    | Vst (s, b, disp) ->
-        let addr = Int64.add r.(b) (Int64.of_int disp) in
-        Aspace.write mem addr 8 (V128.lo v.(s));
-        Aspace.write mem (Int64.add addr 8L) 8 (V128.hi v.(s))
-    | Vmov (d, s) -> v.(d) <- v.(s)
-    | Valu (op, d, s1, s2) -> v.(d) <- valu_eval op v.(s1) v.(s2)
-    | Vnot (d, s) -> v.(d) <- V128.lognot v.(s)
-    | Vsplat32 (d, s) -> v.(d) <- V128.splat32 r.(s)
-    | Vpack (d, hi, lo) -> v.(d) <- V128.make ~hi:r.(hi) ~lo:r.(lo)
-    | Vunpack (d, s, half) ->
-        r.(d) <- (if half = 0 then V128.lo v.(s) else V128.hi v.(s))
-    | Call (id, nargs, _cost) ->
-        let args = Array.init nargs (fun k -> r.(k)) in
-        r.(ret_reg) <- Vex_ir.Helpers.call id env args
-    | Jz (c, l) -> if r.(c) = 0L then pc := l
-    | Jnz (c, l) -> if r.(c) <> 0L then pc := l
-    | Jmp l -> pc := l
-    | Label _ -> ()
-    | ExitIf (c, ek, dest) ->
-        if r.(c) <> 0L then result := Some (ek, dest, !pc - 1)
-    | Goto (ek, s) -> result := Some (ek, Bits.trunc32 r.(s), !pc - 1)
-    | GotoI (ek, dest) -> result := Some (ek, dest, !pc - 1));
-    if !result = None && !pc >= n then
-      (* fell off the end of a translation: a JIT bug *)
-      invalid_arg "Host.Interp.run: translation fell through"
+    (* each arm evaluates to the instruction's {!Arch.cost}, so the cost
+       needs no second dispatch on [i] (test_host checks the two agree) *)
+    cycles :=
+      !cycles
+      +
+      match i with
+      | Movi (d, imm) ->
+          set d imm;
+          1
+      | Mov (d, s) ->
+          set d (get s);
+          1
+      | Alu (w, op, d, s1, s2) ->
+          set d (alu_eval w op (get s1) (get s2));
+          alu_cost op
+      | Alui (w, op, d, s1, imm) ->
+          set d (alu_eval w op (get s1) imm);
+          alu_cost op
+      | Ld (sz, sx, d, b, disp) ->
+          let x = load cpu (Int64.add (get b) (Int64.of_int disp)) sz in
+          set d
+            (if sx then
+               match sz with
+               | 1 -> Bits.sext8 x
+               | 2 -> Bits.sext16 x
+               | 4 -> Bits.sext32 x
+               | _ -> x
+             else x);
+          2
+      | St (sz, s, b, disp) ->
+          store cpu (Int64.add (get b) (Int64.of_int disp)) sz (get s);
+          2
+      | Cmov (d, c, s) ->
+          if get c <> 0L then set d (get s);
+          1
+      | Falu (op, d, s1, s2) ->
+          set d (falu_eval op (get s1) (get s2));
+          if op = FDiv then 16 else 3
+      | Fun1 (op, d, s) ->
+          set d (fun1_eval op (get s));
+          if op = FSqrt then 16 else 3
+      | Vld (d, b, disp) ->
+          let addr = Int64.add (get b) (Int64.of_int disp) in
+          v.(d) <-
+            V128.make ~lo:(load cpu addr 8)
+              ~hi:(load cpu (Int64.add addr 8L) 8);
+          2
+      | Vst (s, b, disp) ->
+          let addr = Int64.add (get b) (Int64.of_int disp) in
+          store cpu addr 8 (V128.lo v.(s));
+          store cpu (Int64.add addr 8L) 8 (V128.hi v.(s));
+          2
+      | Vmov (d, s) ->
+          v.(d) <- v.(s);
+          1
+      | Valu (op, d, s1, s2) ->
+          v.(d) <- valu_eval op v.(s1) v.(s2);
+          1
+      | Vnot (d, s) ->
+          v.(d) <- V128.lognot v.(s);
+          1
+      | Vsplat32 (d, s) ->
+          v.(d) <- V128.splat32 (get s);
+          1
+      | Vpack (d, hi, lo) ->
+          v.(d) <- V128.make ~hi:(get hi) ~lo:(get lo);
+          1
+      | Vunpack (d, s, half) ->
+          set d (if half = 0 then V128.lo v.(s) else V128.hi v.(s));
+          1
+      | Call (id, nargs, c) ->
+          let args =
+            if nargs >= 0 && nargs <= n_hregs then begin
+              let a = cpu.call_args.(nargs) in
+              for k = 0 to nargs - 1 do
+                a.(k) <- get k
+              done;
+              a
+            end
+            else Array.init nargs get
+          in
+          set ret_reg (Vex_ir.Helpers.call id env args);
+          (* the helper may have changed the mappings *)
+          tlb_sync cpu;
+          10 + c
+      | Jz (c, l) ->
+          if get c = 0L then pc := l;
+          1
+      | Jnz (c, l) ->
+          if get c <> 0L then pc := l;
+          1
+      | Jmp l ->
+          pc := l;
+          1
+      | Label _ -> 0
+      | ExitIf (c, k, d) ->
+          if get c <> 0L then begin
+            ek := k;
+            dest := d;
+            site := !pc - 1
+          end;
+          1
+      | Goto (k, s) ->
+          ek := k;
+          dest := Bits.trunc32 (get s);
+          site := !pc - 1;
+          1
+      | GotoI (k, d) ->
+          ek := k;
+          dest := d;
+          site := !pc - 1;
+          1
   done;
   cpu.cycles <- Int64.add cpu.cycles (Int64.of_int !cycles);
   cpu.insns <- Int64.add cpu.insns (Int64.of_int !steps);
-  match !result with Some x -> x | None -> assert false
+  (!ek, !dest, !site)

@@ -18,7 +18,9 @@ type env = {
 }
 
 (** A helper takes the environment and its (integer) arguments, and returns
-    an integer result (0 for void helpers). *)
+    an integer result (0 for void helpers).  The [args] array is only
+    valid during the call: the host interpreter reuses one buffer per
+    arity, so a helper that needs its arguments later must copy them. *)
 type fn = env -> int64 array -> int64
 
 let table : fn array ref = ref (Array.make 0 (fun _ _ -> 0L))
