@@ -17,22 +17,6 @@
 
 let core_counts = [ 1; 2; 4 ]
 
-(* The full tool corpus (the same 11 tools the vgchaos sweep covers). *)
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 (* Main spawns three compute-bound workers (threads 2..4 land on cores
    1..3 under --cores 4), runs its own compute loop, then spin-waits on
    the workers' done counter.  Also committed as bench/threads4.s for
@@ -182,9 +166,9 @@ let check () =
               <> base_tool_out
             then bad "tool output diverged from cores=1")
           (List.filter (fun c -> c <> 1) core_counts))
-      tools;
+      Tools.Table.sweep;
     Printf.printf "ok %s: %d tools bit-identical at cores %s\n%!" wname
-      (List.length tools)
+      (List.length Tools.Table.sweep)
       (String.concat "/" (List.map string_of_int core_counts))
   in
   (match Workloads.find "mcf" with

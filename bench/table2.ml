@@ -53,13 +53,11 @@ type row = {
   r_memc : float;
 }
 
+(* Table 2's four columns, in order *)
 let tools () =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-    ("memcheck", Tools.Memcheck.tool);
-  ]
+  List.map
+    (fun name -> (name, List.assoc name Tools.Table.all))
+    [ "nulgrind"; "icnti"; "icntc"; "memcheck" ]
 
 let run_program ?(scale = 1) (w : Workloads.workload) : row =
   let img = Workloads.compile ~scale w in

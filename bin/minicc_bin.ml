@@ -12,9 +12,7 @@ let () =
       prerr_endline "minicc: no input file";
       exit 2
   | Some p -> (
-      let ic = open_in_bin p in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+      let src = In_channel.(with_open_bin p input_all) in
       try
         let _img, asm =
           Minicc.Driver.compile_with_asm ~with_libc:(not !no_libc) src

@@ -8,75 +8,10 @@
 
 open Cmdliner
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("drd", Tools.Drd.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let load_image (path : string) : Guest.Image.t =
   if Filename.check_suffix path ".s" || Filename.check_suffix path ".asm" then
-    Guest.Asm.assemble (read_file path)
-  else Minicc.Driver.compile (read_file path)
-
-(* The translation configuration shapes the cycle counts, so a replay
-   must run under the recording's exact flags: --record stashes them in
-   the log header and --replay restores them from there. *)
-let encode_options (o : Vg_core.Session.options) : string =
-  Printf.sprintf "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b"
-    o.chaining o.verify_jit
-    (match o.smc_mode with
-    | Vg_core.Session.Smc_none -> "none"
-    | Vg_core.Session.Smc_all -> "all"
-    | Vg_core.Session.Smc_stack -> "stack")
-    o.tier0 o.promote_threshold o.superblocks o.scan o.aot_seed
-
-let decode_options (s : string) (o : Vg_core.Session.options) :
-    Vg_core.Session.options =
-  List.fold_left
-    (fun o kv ->
-      match String.index_opt kv '=' with
-      | None -> o
-      | Some i -> (
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          match k with
-          | "chaining" -> { o with Vg_core.Session.chaining = v = "true" }
-          | "verify" -> { o with verify_jit = v = "true" }
-          | "smc" ->
-              {
-                o with
-                smc_mode =
-                  (match v with
-                  | "none" -> Vg_core.Session.Smc_none
-                  | "all" -> Vg_core.Session.Smc_all
-                  | _ -> Vg_core.Session.Smc_stack);
-              }
-          | "tier0" -> { o with tier0 = v = "true" }
-          | "promote" -> { o with promote_threshold = int_of_string v }
-          | "super" -> { o with superblocks = v = "true" }
-          | "scan" -> { o with scan = v = "true" }
-          | "aot" -> { o with aot_seed = v = "true" }
-          | _ -> o))
-    o
-    (String.split_on_char ' ' s)
+    Guest.Asm.assemble In_channel.(with_open_bin path input_all)
+  else Minicc.Driver.compile In_channel.(with_open_bin path input_all)
 
 (* --replay: everything comes out of the log — the program source, the
    tool, the core count and the translation flags — so the replay is a
@@ -105,24 +40,14 @@ let run_replay (file : string) stats =
     else Minicc.Driver.compile src
   in
   let tool =
-    match List.assoc_opt log.Replay.l_tool tools with
+    match List.assoc_opt log.Replay.l_tool Tools.Table.all with
     | Some t -> t
     | None ->
         Printf.eprintf "valgrind: log needs unknown tool '%s'\n"
           log.Replay.l_tool;
         exit 2
   in
-  let options =
-    {
-      Vg_core.Session.default_options with
-      cores = log.Replay.l_cores;
-      chaos = None;
-      rr = Replay.Replay p;
-    }
-  in
-  let options =
-    match meta "options" with Some o -> decode_options o options | None -> options
-  in
+  let options = Vg_core.Session.replay_options p in
   let s = Vg_core.Session.create ~options ~tool img in
   s.echo_output <- true;
   s.kern.stdout_echo <- true;
@@ -164,11 +89,11 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
         exit 2
   in
   let tool =
-    match List.assoc_opt tool_name tools with
+    match List.assoc_opt tool_name Tools.Table.all with
     | Some t -> t
     | None ->
         Printf.eprintf "valgrind: unknown tool '%s' (have: %s)\n" tool_name
-          (String.concat ", " (List.map fst tools));
+          (String.concat ", " (List.map fst Tools.Table.all));
         exit 2
   in
   let img =
@@ -229,8 +154,8 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
           (if Filename.check_suffix path ".s" || Filename.check_suffix path ".asm"
            then "asm"
            else "c");
-        Replay.add_meta r "source" (read_file path);
-        Replay.add_meta r "options" (encode_options options);
+        Replay.add_meta r "source" In_channel.(with_open_bin path input_all);
+        Replay.add_meta r "options" (Vg_core.Session.encode_options options);
         Some r
   in
   let options =
@@ -242,19 +167,14 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
   s.echo_output <- true;
   (match supp_file with
   | Some f ->
-      let ic = open_in_bin f in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+      let text = In_channel.(with_open_bin f input_all) in
       List.iter
         (Vg_core.Errors.add_suppression s.errors)
         (Vg_core.Errors.parse_suppressions text)
   | None -> ());
   (match stdin_file with
   | Some f ->
-      let ic = open_in_bin f in
-      let n = in_channel_length ic in
-      Kernel.set_stdin s.kern (really_input_string ic n);
-      close_in ic
+      Kernel.set_stdin s.kern In_channel.(with_open_bin f input_all)
   | None -> ());
   s.kern.stdout_echo <- true;
   Printf.eprintf "==vg== %s: %s\n" tool.name tool.description;

@@ -9,9 +9,7 @@ let () =
       prerr_endline "vgasm: no input file";
       exit 2
   | Some p -> (
-      let ic = open_in_bin p in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+      let src = In_channel.(with_open_bin p input_all) in
       try
         let img = Guest.Asm.assemble src in
         Printf.printf "text: 0x%LX, %d bytes\n" img.text_addr

@@ -22,21 +22,6 @@
     - {b replay determinism}: re-running any schedule with the same seed
       reproduces the exact same fault log, outputs and counters. *)
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 let corpus_workloads = [ "gcc"; "mcf"; "perlbmk"; "vortex" ]
 
 (* A syscall-heavy client, additional to the paper corpus: the SPEC-shaped
@@ -344,7 +329,7 @@ let run_sweep (seeds : int list) : bool =
             (fun (tname, tool) ->
               let cell = Printf.sprintf "%-8s %-16s seed %d" wname tname seed in
               run_cell ~cell ~tool ~img ~seed)
-            tools)
+            Tools.Table.sweep)
         imgs;
       match List.assoc_opt "mcf" imgs with
       | Some mcf -> run_sharded_cells ~seed ~mcf
@@ -370,7 +355,7 @@ let run_sweep (seeds : int list) : bool =
 
 let run_single ~seed ~schedule ~tname ~wname ~cores ~trace_to : bool =
   let tool =
-    match List.assoc_opt tname tools with
+    match List.assoc_opt tname Tools.Table.sweep with
     | Some t -> t
     | None -> failwith ("unknown tool " ^ tname)
   in

@@ -107,10 +107,7 @@ let corpus_replay (dir : string) : int =
     List.iter
       (fun f ->
         let path = Filename.concat dir f in
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let src = really_input_string ic n in
-        close_in ic;
+        let src = In_channel.(with_open_bin path input_all) in
         let divs = Fuzz.Diff.check (Guest.Asm.assemble src) in
         if divs = [] then Printf.printf "vgfuzz: corpus %-28s OK\n" f
         else begin
@@ -127,21 +124,6 @@ let corpus_replay (dir : string) : int =
   end
 
 (* --- hostile suite --------------------------------------------------- *)
-
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
 
 let hostile_suite () : int =
   let failed = ref 0 in
@@ -225,9 +207,9 @@ let hostile_suite () : int =
                   | Vg_core.Session.Exited n when n = g.g_exit -> ()
                   | _ ->
                       fail "%s under %s (chaos): wrong exit" g.g_name tname)))
-        tools;
+        Tools.Table.sweep;
       Printf.printf "vgfuzz: hostile %-12s checked under %d tools\n" g.g_name
-        (List.length tools))
+        (List.length Tools.Table.sweep))
     (Fuzz.Hostile_guests.all ());
   if !failed > 0 then begin
     print_endline "vgfuzz: FAILED";

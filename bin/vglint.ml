@@ -20,21 +20,6 @@
     promoted) — so the verifiers are exercised over every pipeline shape
     the session can produce. *)
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 let corpus_workloads = [ "gcc"; "mcf"; "perlbmk"; "vortex" ]
 
 let run_mutate () : bool =
@@ -124,7 +109,7 @@ let run_corpus () : bool =
                   mname
                   (Verify.Verr.to_string e))
             corpus_modes)
-        tools)
+        Tools.Table.sweep)
     corpus_workloads;
   !failed = 0
 

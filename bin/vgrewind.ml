@@ -15,30 +15,7 @@
 
 open Cmdliner
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("drd", Tools.Drd.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("vgrewind: " ^ m); exit 2) fmt
-
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let compile_source ~(kind : string) (src : string) : Guest.Image.t =
   try
@@ -48,10 +25,11 @@ let compile_source ~(kind : string) (src : string) : Guest.Image.t =
   | Guest.Asm.Error { line; msg } -> die "assembly error at line %d: %s" line msg
 
 let find_tool name =
-  match List.assoc_opt name tools with
+  match List.assoc_opt name Tools.Table.all with
   | Some t -> t
   | None ->
-      die "unknown tool '%s' (have: %s)" name (String.concat ", " (List.map fst tools))
+      die "unknown tool '%s' (have: %s)" name
+        (String.concat ", " (List.map fst Tools.Table.all))
 
 (* --- record ----------------------------------------------------------- *)
 
@@ -75,7 +53,11 @@ let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
           then "asm"
           else "c"
         in
-        (Filename.basename p, kind, (try read_file p with Sys_error m -> die "%s" m))
+        let src =
+          try In_channel.(with_open_bin p input_all)
+          with Sys_error m -> die "%s" m
+        in
+        (Filename.basename p, kind, src)
     | _ -> die "need exactly one of PROGRAM or --workload"
   in
   let img = compile_source ~kind src in
@@ -109,7 +91,10 @@ let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
   s.echo_output <- true;
   s.kern.stdout_echo <- true;
   (match stdin_file with
-  | Some f -> Kernel.set_stdin s.kern (try read_file f with Sys_error m -> die "%s" m)
+  | Some f ->
+      Kernel.set_stdin s.kern
+        (try In_channel.(with_open_bin f input_all)
+         with Sys_error m -> die "%s" m)
   | None -> ());
   Printf.eprintf "==vgrewind== recording %s under %s (cores=%d%s)\n" prog_name
     tool.name cores
@@ -148,15 +133,7 @@ let session_of_log ?(snapshot_every = 0L) (file : string) :
   let kind = Option.value (meta "kind") ~default:"c" in
   let img = compile_source ~kind src in
   let tool = find_tool log.Replay.l_tool in
-  let options =
-    {
-      Vg_core.Session.default_options with
-      cores = log.Replay.l_cores;
-      chaos = None;
-      rr = Replay.Replay p;
-      snapshot_every;
-    }
-  in
+  let options = { (Vg_core.Session.replay_options p) with snapshot_every } in
   (Vg_core.Session.create ~options ~tool img, p)
 
 let exit_str = function

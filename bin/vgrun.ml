@@ -13,18 +13,11 @@ let () =
       prerr_endline "vgrun: no program given";
       exit 2
   | Some p ->
-      let read_file p =
-        let ic = open_in_bin p in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
       let img =
         try
           if Filename.check_suffix p ".s" || Filename.check_suffix p ".asm"
-          then Guest.Asm.assemble (read_file p)
-          else Minicc.Driver.compile (read_file p)
+          then Guest.Asm.assemble In_channel.(with_open_bin p input_all)
+          else Minicc.Driver.compile In_channel.(with_open_bin p input_all)
         with
         | Minicc.Driver.Compile_error m ->
             Printf.eprintf "vgrun: %s: %s\n" p m;

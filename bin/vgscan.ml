@@ -106,13 +106,6 @@ let hostile_report () : string =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let run_hostile ~(update : bool) ~(golden : string) : bool =
   print_endline "== vgscan: hostile fixture corpus ==";
   let ok = ref true in
@@ -144,7 +137,7 @@ let run_hostile ~(update : bool) ~(golden : string) : bool =
     ok := false;
     Printf.printf "  FAIL golden %s missing (run with --update)\n" golden
   end
-  else if read_file golden <> report then begin
+  else if In_channel.(with_open_bin golden input_all) <> report then begin
     ok := false;
     Printf.printf "  FAIL report differs from golden %s\n" golden
   end
@@ -188,7 +181,7 @@ let () =
             exit 2)
     | [ file ] when Sys.file_exists file ->
         print_one
-          (Guest.Asm.assemble (read_file file))
+          (Guest.Asm.assemble In_channel.(with_open_bin file input_all))
           ~json:(flag "--json") ~blocks:(flag "--blocks")
     | _ ->
         prerr_endline

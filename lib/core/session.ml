@@ -160,6 +160,63 @@ let default_options =
     snapshot_every = 0L;
   }
 
+(* The translation configuration shapes the cycle counts, so a replay
+   must run under the recording's exact flags: a recording driver stashes
+   them in the log's "options" meta and {!replay_options} restores them. *)
+let encode_options (o : options) : string =
+  Printf.sprintf
+    "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b"
+    o.chaining o.verify_jit
+    (match o.smc_mode with
+    | Smc_none -> "none"
+    | Smc_all -> "all"
+    | Smc_stack -> "stack")
+    o.tier0 o.promote_threshold o.superblocks o.scan o.aot_seed
+
+let decode_options (s : string) (o : options) : options =
+  List.fold_left
+    (fun o kv ->
+      match String.index_opt kv '=' with
+      | None -> o
+      | Some i -> (
+          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+          match String.sub kv 0 i with
+          | "chaining" -> { o with chaining = v = "true" }
+          | "verify" -> { o with verify_jit = v = "true" }
+          | "smc" ->
+              {
+                o with
+                smc_mode =
+                  (match v with
+                  | "none" -> Smc_none
+                  | "all" -> Smc_all
+                  | _ -> Smc_stack);
+              }
+          | "tier0" -> { o with tier0 = v = "true" }
+          | "promote" -> { o with promote_threshold = int_of_string v }
+          | "super" -> { o with superblocks = v = "true" }
+          | "scan" -> { o with scan = v = "true" }
+          | "aot" -> { o with aot_seed = v = "true" }
+          | _ -> o))
+    o
+    (String.split_on_char ' ' s)
+
+(** Options that replay [p]'s log: the defaults under the log's core
+    count and recorded translation flags, driven by [p], without chaos. *)
+let replay_options (p : Replay.player) : options =
+  let log = p.Replay.p_log in
+  let o =
+    {
+      default_options with
+      cores = log.Replay.l_cores;
+      chaos = None;
+      rr = Replay.Replay p;
+    }
+  in
+  match List.assoc_opt "options" log.Replay.l_meta with
+  | Some enc -> decode_options enc o
+  | None -> o
+
 type exit_reason =
   | Exited of int
   | Fatal_signal of int
@@ -182,7 +239,7 @@ type snapshot = {
   sp_errors : Errors.snap;
   sp_output : string;
   sp_tool : Bytes.t;  (** the tool instance's serialized private state *)
-  sp_marks : Replay.marks option;  (** log cursor positions *)
+  sp_marks : Replay.marks;  (** log cursor positions *)
   sp_sched_iters : int64;
   sp_trans_reqs : int64;
   sp_blocks : int64;
@@ -309,6 +366,18 @@ let total_cycles (s : t) : int64 =
 let wall_cycles (s : t) : int64 =
   Array.fold_left (fun acc e -> max acc (Engine.clock e)) 0L s.cores
 
+(* {!Replay.decide} for this session, stamped with the wall cycle.  The
+   live source takes the session as an argument instead of closing over
+   it, and without a log it is asked here directly: the flush point runs
+   on every scheduler step, which then allocates nothing and makes no
+   call into Replay.  A closure built here would keep this function from
+   being inlined; the extra calls per step measured about 4% of
+   hot-nulgrind wall time. *)
+let[@inline] decide (s : t) pt ~key (live : t -> 'v option) =
+  match s.opts.rr with
+  | Replay.No_rr -> live s
+  | rr -> Replay.decide rr pt ~key ~cycle:(wall_cycles s) live s
+
 let output s msg =
   Buffer.add_string s.output_buf msg;
   if s.echo_output then prerr_string msg
@@ -401,9 +470,8 @@ let publish_metrics (s : t) =
       pi "replay.recorded_events" (fun () -> Replay.n_events rec_)
   | Replay.Replay p ->
       List.iter
-        (fun (k, _) ->
-          pi ("replay." ^ k) (fun () -> List.assoc k (Replay.progress p)))
-        (Replay.progress p);
+        (fun (k, c) -> pi ("replay." ^ k) (fun () -> !c))
+        (Replay.cursors p);
       pi "replay.snapshots" (fun () -> List.length s.snapshots)
   | Replay.No_rr -> ());
   Array.iter (fun e -> Engine.publish r e) s.cores;
@@ -793,22 +861,17 @@ let translation_checks (s : t) ~(fetch_pc : int64) :
      Recording logs the condemned phase; replay re-applies it from the
      log without a Chaos.t. *)
   let chaos_checks =
-    match s.opts.rr with
-    | Replay.Replay p -> (
-        match Replay.condemn_due p ~req:s.trans_reqs ~cycle:(wall_cycles s) with
-        | Some phase -> Some (Chaos.checks_failing_at phase)
-        | None -> None)
-    | rr -> (
-        match s.opts.chaos with
-        | Some c -> (
-            let fate = Chaos.translation_fate c ~pc:fetch_pc in
-            (match (fate, rr) with
-            | Some phase, Replay.Record rec_ ->
-                Replay.record_condemn rec_ ~req:s.trans_reqs ~phase
-                  ~pc:fetch_pc ~cycle:(wall_cycles s)
-            | _ -> ());
-            Option.map Chaos.checks_failing_at fate)
-        | None -> None)
+    decide s Replay.condemn ~key:s.trans_reqs
+      (* the live source closes over the fetch pc, so it is built only
+         under chaos: a default session allocates nothing here *)
+      (match s.opts.chaos with
+      | Some c ->
+          fun _ ->
+            Option.map
+              (fun phase -> (phase, fetch_pc))
+              (Chaos.translation_fate c ~pc:fetch_pc)
+      | None -> fun _ -> None)
+    |> Option.map (fun (phase, _) -> Chaos.checks_failing_at phase)
   in
   match (verify_checks, chaos_checks) with
   | Some a, Some b -> Some (Jit.Pipeline.compose_checks a b)
@@ -987,25 +1050,16 @@ let deliver_to (s : t) (tid : int) (signal : int) =
       deliver_signal s th signal
   | _ -> deliver_signal s s.threads.current signal
 
+(* The kernel never runs on replay, so its pending queue stays empty
+   there; deliveries come from the log, keyed by the scheduler iteration
+   at which the recording session took them. *)
 let check_signals (s : t) =
-  match s.opts.rr with
-  | Replay.Replay p -> (
-      (* the kernel never runs on replay, so its pending queue stays
-         empty; deliveries come from the log, keyed by the scheduler
-         iteration at which the recording session took them *)
-      match Replay.signal_due p ~iter:s.sched_iters ~cycle:(wall_cycles s) with
-      | Some (tid, signo) -> deliver_to s tid signo
-      | None -> ())
-  | rr -> (
-      match Kernel.take_pending_signal s.kern with
-      | None -> ()
-      | Some (tid, signal) ->
-          (match rr with
-          | Replay.Record rec_ ->
-              Replay.record_signal rec_ ~iter:s.sched_iters ~tid
-                ~signo:signal ~cycle:(wall_cycles s)
-          | _ -> ());
-          deliver_to s tid signal)
+  match
+    decide s Replay.signal ~key:s.sched_iters
+      (fun s -> Kernel.take_pending_signal s.kern)
+  with
+  | Some (tid, signal) -> deliver_to s tid signal
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Client requests (§3.11)                                              *)
@@ -1100,10 +1154,7 @@ let take_snapshot (s : t) : unit =
         (match s.instance with
         | Some i -> i.Tool.snapshot ()
         | None -> Bytes.empty);
-      sp_marks =
-        (match s.opts.rr with
-        | Replay.Replay p -> Some (Replay.mark p)
-        | _ -> None);
+      sp_marks = Replay.mark s.opts.rr;
       sp_sched_iters = s.sched_iters;
       sp_trans_reqs = s.trans_reqs;
       sp_blocks = s.blocks_executed;
@@ -1150,9 +1201,7 @@ let restore_snapshot (s : t) (sp : snapshot) : unit =
   (match s.instance with
   | Some i -> i.Tool.restore sp.sp_tool
   | None -> ());
-  (match (s.opts.rr, sp.sp_marks) with
-  | Replay.Replay p, Some m -> Replay.reset p m
-  | _ -> ());
+  Replay.reset s.opts.rr sp.sp_marks;
   s.sched_iters <- sp.sp_sched_iters;
   s.trans_reqs <- sp.sp_trans_reqs;
   s.blocks_executed <- sp.sp_blocks;
@@ -1744,23 +1793,16 @@ let run_block (s : t) =
    [t_dead] lazy-miss rule guarantees.  Bookkeeping only: no cycles. *)
 let advance_epoch (s : t) =
   let delay =
-    match s.opts.rr with
-    | Replay.Replay p ->
-        Replay.retire_due p ~iter:s.sched_iters ~cycle:(wall_cycles s)
-    | rr -> (
+    decide s Replay.retire ~key:s.sched_iters
+      (fun s ->
         match s.opts.chaos with
-        | Some c when Transtab.retire_pending s.transtab > 0 ->
-            let d =
-              Chaos.retire_delay c
-                ~pending:(Transtab.retire_pending s.transtab)
-            in
-            (match rr with
-            | Replay.Record rec_ when d ->
-                Replay.record_retire rec_ ~iter:s.sched_iters
-                  ~cycle:(wall_cycles s)
-            | _ -> ());
-            d
-        | _ -> false)
+        | Some c
+          when Transtab.retire_pending s.transtab > 0
+               && Chaos.retire_delay c
+                    ~pending:(Transtab.retire_pending s.transtab) ->
+            Some ()
+        | _ -> None)
+    |> Option.is_some
   in
   let freed = Transtab.advance_epoch ~delay s.transtab in
   if freed <> [] then
@@ -1806,22 +1848,14 @@ let step (s : t) : bool =
         (* chaos: forced code-cache pressure between blocks — every
            resident translation and chain is dropped at once, on every
            core.  Recorded/replayed by scheduler iteration. *)
-        let flush_now =
-          match s.opts.rr with
-          | Replay.Replay p ->
-              Replay.flush_due p ~iter:s.sched_iters ~cycle:(wall_cycles s)
-          | rr -> (
+        if
+          decide s Replay.flush ~key:s.sched_iters
+            (fun s ->
               match s.opts.chaos with
-              | Some c when Chaos.flush_cache c ->
-                  (match rr with
-                  | Replay.Record rec_ ->
-                      Replay.record_flush rec_ ~iter:s.sched_iters
-                        ~cycle:(wall_cycles s)
-                  | _ -> ());
-                  true
-              | _ -> false)
-        in
-        if flush_now then begin
+              | Some c when Chaos.flush_cache c -> Some ()
+              | _ -> None)
+          |> Option.is_some
+        then begin
           Transtab.flush s.transtab;
           Array.iter
             (fun e ->
@@ -1836,28 +1870,16 @@ let step (s : t) : bool =
             (* core handoff: chaos may model a migration stall on the
                incoming core (never fires at the default p = 0) *)
             if e.Engine.id <> s.active.Engine.id then begin
-              (match s.opts.rr with
-              | Replay.Replay p -> (
-                  match
-                    Replay.stall_due p ~iter:s.sched_iters
-                      ~cycle:(wall_cycles s)
-                  with
-                  | Some cycles -> Engine.charge e cycles
-                  | None -> ())
-              | rr -> (
-                  match s.opts.chaos with
-                  | Some c -> (
-                      match Chaos.handoff_stall c ~core:e.Engine.id with
-                      | Some cycles ->
-                          (match rr with
-                          | Replay.Record rec_ ->
-                              Replay.record_stall rec_ ~iter:s.sched_iters
-                                ~cycles ~cycle:(wall_cycles s)
-                          | _ -> ());
-                          Engine.charge e cycles
-                      | None -> ())
-                  | None -> ()));
-              s.active <- e
+              s.active <- e;
+              match
+                decide s Replay.stall ~key:s.sched_iters
+                  (fun s ->
+                    match s.opts.chaos with
+                    | Some c -> Chaos.handoff_stall c ~core:s.active.Engine.id
+                    | None -> None)
+              with
+              | Some cycles -> Engine.charge e cycles
+              | None -> ()
             end;
             Threads.select s.threads ~core:e.Engine.id;
             (* periodic scheduler entry: signal poll + epoch advance.

@@ -10,6 +10,10 @@
     - a {!player} that a replaying session consults instead of invoking
       the kernel or rolling chaos dice.
 
+    Every logged decision other than a syscall goes through one rule,
+    {!decide}: the log decides on replay, the live source decides
+    otherwise, and a recording logs what the live source chose.
+
     What is logged (and nothing else):
     - every syscall: the client-visible result, the engine action, the
       cycles the wrapper charged, the syswrap fault counters and the
@@ -509,23 +513,6 @@ let end_syscall r ~(kern : Kernel.t) ~ret ~action ~charged ~cycle ~counters =
          se_charged = charged; se_cycle = cycle; se_action = action;
          se_counters = counters; se_effects = effects })
 
-let record_signal r ~iter ~tid ~signo ~cycle =
-  push r (Ev_signal { sg_iter = iter; sg_tid = tid; sg_signo = signo;
-                      sg_cycle = cycle })
-
-let record_flush r ~iter ~cycle =
-  push r (Ev_flush { fl_iter = iter; fl_cycle = cycle })
-
-let record_stall r ~iter ~cycles ~cycle =
-  push r (Ev_stall { st_iter = iter; st_cycles = cycles; st_cycle = cycle })
-
-let record_retire r ~iter ~cycle =
-  push r (Ev_retire { rt_iter = iter; rt_cycle = cycle })
-
-let record_condemn r ~req ~phase ~pc ~cycle =
-  push r (Ev_condemn { cd_req = req; cd_phase = phase; cd_pc = pc;
-                       cd_cycle = cycle })
-
 let finish r ~digests = r.r_digests <- digests
 
 let recorded_log (r : recorder) : log =
@@ -544,79 +531,140 @@ let to_file r path =
   output_string oc (to_string r);
   close_out oc
 
-let log_of_file path : log =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  decode s
+let log_of_file path : log = decode In_channel.(with_open_bin path input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Player                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** One kind of logged event, in log order, each with the key the
+    session consumes it at, plus a cursor. *)
+type 'v stream = { items : (int64 * 'v) array; at : int ref }
+
 type player = {
   p_log : log;
-  p_sys : sys_event array;
-  mutable p_sys_i : int;
-  p_sig : (int64 * int * int) array;  (** iter, tid, signo *)
-  mutable p_sig_i : int;
-  p_flush : int64 array;  (** iters *)
-  mutable p_flush_i : int;
-  p_stall : (int64 * int) array;  (** iter, cycles *)
-  mutable p_stall_i : int;
-  p_retire : int64 array;  (** iters *)
-  mutable p_retire_i : int;
-  p_condemn : (int64 * int) array;  (** req ordinal, phase *)
-  mutable p_condemn_i : int;
+  p_sys : sys_event stream;  (** keyed by call cycle (informational) *)
+  p_signal : (int * int) stream;  (** tid, signo *)
+  p_flush : unit stream;
+  p_stall : int stream;  (** stall cycles *)
+  p_retire : unit stream;
+  p_condemn : (int * int64) stream;  (** phase, fetch pc *)
 }
 
+(** A decision point: a choice the session makes from a source that does
+    not re-derive on replay (the kernel's signal queue, chaos dice),
+    keyed by an ordinal that does (the scheduler iteration or the
+    translation request).  The point maps its decisions to and from log
+    events and names the player's stream that holds them. *)
+type 'v point = {
+  pt_stream : player -> 'v stream;
+  pt_of_event : event -> (int64 * 'v) option;
+  pt_to_event : key:int64 -> cycle:int64 -> 'v -> event;
+  pt_what : 'v -> string;  (** a logged decision, for divergence reports *)
+  pt_key : string;  (** what the key counts *)
+}
+
+let signal : (int * int) point =
+  { pt_stream = (fun p -> p.p_signal);
+    pt_of_event =
+      (function
+      | Ev_signal e -> Some (e.sg_iter, (e.sg_tid, e.sg_signo)) | _ -> None);
+    pt_to_event =
+      (fun ~key ~cycle (sg_tid, sg_signo) ->
+        Ev_signal { sg_iter = key; sg_tid; sg_signo; sg_cycle = cycle });
+    pt_what =
+      (fun (tid, signo) -> Printf.sprintf "signal %d to tid %d" signo tid);
+    pt_key = "iteration" }
+
+let flush : unit point =
+  { pt_stream = (fun p -> p.p_flush);
+    pt_of_event = (function Ev_flush e -> Some (e.fl_iter, ()) | _ -> None);
+    pt_to_event =
+      (fun ~key ~cycle () -> Ev_flush { fl_iter = key; fl_cycle = cycle });
+    pt_what = (fun () -> "cache flush");
+    pt_key = "iteration" }
+
+let stall : int point =
+  { pt_stream = (fun p -> p.p_stall);
+    pt_of_event =
+      (function Ev_stall e -> Some (e.st_iter, e.st_cycles) | _ -> None);
+    pt_to_event =
+      (fun ~key ~cycle st_cycles ->
+        Ev_stall { st_iter = key; st_cycles; st_cycle = cycle });
+    pt_what = (fun _ -> "handoff stall");
+    pt_key = "iteration" }
+
+let retire : unit point =
+  { pt_stream = (fun p -> p.p_retire);
+    pt_of_event = (function Ev_retire e -> Some (e.rt_iter, ()) | _ -> None);
+    pt_to_event =
+      (fun ~key ~cycle () -> Ev_retire { rt_iter = key; rt_cycle = cycle });
+    pt_what = (fun () -> "retire delay");
+    pt_key = "iteration" }
+
+(** Forced translation failure, keyed by the translation-request
+    ordinal; the decision is the condemned phase (and, for the log's
+    readers, the fetch pc). *)
+let condemn : (int * int64) point =
+  { pt_stream = (fun p -> p.p_condemn);
+    pt_of_event =
+      (function
+      | Ev_condemn e -> Some (e.cd_req, (e.cd_phase, e.cd_pc)) | _ -> None);
+    pt_to_event =
+      (fun ~key ~cycle (cd_phase, cd_pc) ->
+        Ev_condemn { cd_req = key; cd_phase; cd_pc; cd_cycle = cycle });
+    pt_what = (fun _ -> "condemned translation");
+    pt_key = "request" }
+
 let player (l : log) : player =
-  let sys = ref [] and sg = ref [] and fl = ref [] and st = ref [] in
-  let rt = ref [] and cd = ref [] in
-  List.iter
-    (function
-      | Ev_syscall se -> sys := se :: !sys
-      | Ev_signal s -> sg := (s.sg_iter, s.sg_tid, s.sg_signo) :: !sg
-      | Ev_flush f -> fl := f.fl_iter :: !fl
-      | Ev_stall s -> st := (s.st_iter, s.st_cycles) :: !st
-      | Ev_retire r -> rt := r.rt_iter :: !rt
-      | Ev_condemn c -> cd := (c.cd_req, c.cd_phase) :: !cd)
-    l.l_events;
+  let stream of_event =
+    { items = Array.of_list (List.filter_map of_event l.l_events); at = ref 0 }
+  in
   {
     p_log = l;
-    p_sys = Array.of_list (List.rev !sys);
-    p_sys_i = 0;
-    p_sig = Array.of_list (List.rev !sg);
-    p_sig_i = 0;
-    p_flush = Array.of_list (List.rev !fl);
-    p_flush_i = 0;
-    p_stall = Array.of_list (List.rev !st);
-    p_stall_i = 0;
-    p_retire = Array.of_list (List.rev !rt);
-    p_retire_i = 0;
-    p_condemn = Array.of_list (List.rev !cd);
-    p_condemn_i = 0;
+    p_sys =
+      stream (function Ev_syscall se -> Some (se.se_cycle, se) | _ -> None);
+    p_signal = stream signal.pt_of_event;
+    p_flush = stream flush.pt_of_event;
+    p_stall = stream stall.pt_of_event;
+    p_retire = stream retire.pt_of_event;
+    p_condemn = stream condemn.pt_of_event;
   }
 
 let player_of_file path = player (log_of_file path)
 let player_of_string s = player (decode s)
 
-(** Cursor positions, for snapshot/restore during time-travel. *)
-type marks = int * int * int * int * int * int
-
-let mark (p : player) : marks =
-  (p.p_sys_i, p.p_sig_i, p.p_flush_i, p.p_stall_i, p.p_retire_i, p.p_condemn_i)
-
-let reset (p : player) ((a, b, c, d, e, f) : marks) =
-  p.p_sys_i <- a;
-  p.p_sig_i <- b;
-  p.p_flush_i <- c;
-  p.p_stall_i <- d;
-  p.p_retire_i <- e;
-  p.p_condemn_i <- f
+(** Every stream's cursor, under the name of its [replay.*] progress
+    metric. *)
+let cursors (p : player) : (string * int ref) list =
+  [
+    ("syscalls", p.p_sys.at);
+    ("signals", p.p_signal.at);
+    ("flushes", p.p_flush.at);
+    ("stalls", p.p_stall.at);
+    ("retires", p.p_retire.at);
+    ("condemns", p.p_condemn.at);
+  ]
 
 let diverged ~cycle ~expected ~got =
   raise (Divergence { dv_cycle = cycle; dv_expected = expected; dv_got = got })
+
+(** The logged decision at [key], if any.  A log entry for a key already
+    passed means the session diverged. *)
+let due (p : player) (pt : 'v point) ~key ~cycle : 'v option =
+  let st = pt.pt_stream p in
+  if !(st.at) >= Array.length st.items then None
+  else
+    let k, v = st.items.(!(st.at)) in
+    if Int64.compare k key < 0 then
+      diverged ~cycle
+        ~expected:(Printf.sprintf "%s at %s %Ld" (pt.pt_what v) pt.pt_key k)
+        ~got:(Printf.sprintf "%s %Ld" pt.pt_key key)
+    else if k = key then begin
+      incr st.at;
+      Some v
+    end
+    else None
 
 let apply_effect (kern : Kernel.t) = function
   | E_mem { em_addr; em_bytes } ->
@@ -657,105 +705,20 @@ let apply_effect (kern : Kernel.t) = function
     action plus the cycles charged and the syswrap counter values. *)
 let replay_syscall (p : player) ~(kern : Kernel.t) ~num ~(r : Kernel.regs)
     ~cycle : Kernel.action * int * (int * int * int * int) =
-  if p.p_sys_i >= Array.length p.p_sys then
+  let st = p.p_sys in
+  if !(st.at) >= Array.length st.items then
     diverged ~cycle ~expected:"end of log"
       ~got:(Printf.sprintf "syscall %s" (Kernel.Num.name num));
-  let se = p.p_sys.(p.p_sys_i) in
+  let _, se = st.items.(!(st.at)) in
   if se.se_num <> num then
     diverged ~cycle
       ~expected:(Printf.sprintf "syscall %s" (Kernel.Num.name se.se_num))
       ~got:(Printf.sprintf "syscall %s" (Kernel.Num.name num));
-  p.p_sys_i <- p.p_sys_i + 1;
+  incr st.at;
   List.iter (apply_effect kern) se.se_effects;
   kern.Kernel.brk <- se.se_brk;
   r.Kernel.set 0 se.se_ret;
   (se.se_action, se.se_charged, se.se_counters)
-
-(** Is a signal delivery recorded at this scheduler iteration?  A log
-    entry for an iteration already passed means the session diverged. *)
-let signal_due (p : player) ~iter ~cycle : (int * int) option =
-  if p.p_sig_i >= Array.length p.p_sig then None
-  else
-    let it, tid, signo = p.p_sig.(p.p_sig_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "signal %d to tid %d at iteration %Ld" signo
-                     tid it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_sig_i <- p.p_sig_i + 1;
-      Some (tid, signo)
-    end
-    else None
-
-let flush_due (p : player) ~iter ~cycle : bool =
-  if p.p_flush_i >= Array.length p.p_flush then false
-  else
-    let it = p.p_flush.(p.p_flush_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "cache flush at iteration %Ld" it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_flush_i <- p.p_flush_i + 1;
-      true
-    end
-    else false
-
-let stall_due (p : player) ~iter ~cycle : int option =
-  if p.p_stall_i >= Array.length p.p_stall then None
-  else
-    let it, n = p.p_stall.(p.p_stall_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "handoff stall at iteration %Ld" it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_stall_i <- p.p_stall_i + 1;
-      Some n
-    end
-    else None
-
-let retire_due (p : player) ~iter ~cycle : bool =
-  if p.p_retire_i >= Array.length p.p_retire then false
-  else
-    let it = p.p_retire.(p.p_retire_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "retire delay at iteration %Ld" it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_retire_i <- p.p_retire_i + 1;
-      true
-    end
-    else false
-
-(** Forced translation failure, keyed by the translation-request
-    ordinal; returns the condemned phase. *)
-let condemn_due (p : player) ~req ~cycle : int option =
-  if p.p_condemn_i >= Array.length p.p_condemn then None
-  else
-    let rq, phase = p.p_condemn.(p.p_condemn_i) in
-    if Int64.compare rq req < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "condemned translation at request %Ld" rq)
-        ~got:(Printf.sprintf "request %Ld" req)
-    else if rq = req then begin
-      p.p_condemn_i <- p.p_condemn_i + 1;
-      Some phase
-    end
-    else None
-
-(** How much of the log has been consumed, for the replay.* metrics. *)
-let progress (p : player) : (string * int) list =
-  [
-    ("syscalls", p.p_sys_i);
-    ("signals", p.p_sig_i);
-    ("flushes", p.p_flush_i);
-    ("stalls", p.p_stall_i);
-    ("retires", p.p_retire_i);
-    ("condemns", p.p_condemn_i);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Session integration                                                  *)
@@ -764,6 +727,38 @@ let progress (p : player) : (string * int) list =
 (** How a session relates to a log: not at all, feeding a recorder, or
     driven by a player. *)
 type rr = No_rr | Record of recorder | Replay of player
+
+(** The one rule for every decision point: a replaying session takes the
+    log's decision at [key]; any other session asks the [live] source
+    (applied to [x]), and a recording session logs what it chose.  So the
+    live source runs exactly when it would without a log, and chaos rolls
+    its dice at the same points.  [cycle] stamps a logged decision and a
+    divergence report. *)
+let decide (rr : rr) (pt : 'v point) ~(key : int64) ~(cycle : int64)
+    (live : 'a -> 'v option) (x : 'a) : 'v option =
+  match rr with
+  | No_rr -> live x
+  | Record r -> (
+      match live x with
+      | Some v as d ->
+          push r (pt.pt_to_event ~key ~cycle v);
+          d
+      | None -> None)
+  | Replay p -> due p pt ~key ~cycle
+
+(** Cursor positions, for snapshot/restore during time travel (empty
+    unless replaying). *)
+type marks = int list
+
+let mark (rr : rr) : marks =
+  match rr with
+  | Replay p -> List.map (fun (_, c) -> !c) (cursors p)
+  | No_rr | Record _ -> []
+
+let reset (rr : rr) (m : marks) =
+  match rr with
+  | Replay p -> List.iter2 (fun (_, c) n -> c := n) (cursors p) m
+  | No_rr | Record _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Digest helpers                                                       *)

@@ -76,12 +76,8 @@ let corpus_dir =
      root *)
   if Sys.file_exists "fuzz_corpus" then "fuzz_corpus" else "test/fuzz_corpus"
 
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_corpus f =
+  In_channel.(with_open_bin (Filename.concat corpus_dir f) input_all)
 
 let test_corpus_replay () =
   let entries =
@@ -93,7 +89,7 @@ let test_corpus_replay () =
     (List.length entries >= 5);
   List.iter
     (fun f ->
-      let img = Guest.Asm.assemble (read_file (Filename.concat corpus_dir f)) in
+      let img = Guest.Asm.assemble (read_corpus f) in
       match Fuzz.Diff.check img with
       | [] -> ()
       | divs ->
@@ -149,7 +145,7 @@ let run_step_external (img : Guest.Image.t) :
   Option.get !result
 
 let test_fault_attribution_ladder () =
-  let src = read_file (Filename.concat corpus_dir "fault_attribution.s") in
+  let src = read_corpus "fault_attribution.s" in
   let img () = Guest.Asm.assemble src in
   (* native reference *)
   let nat = Fuzz.Diff.run_native (img ()) in
@@ -189,7 +185,7 @@ let test_fault_attribution_ladder () =
 let test_dead_load_fault_survives_dce () =
   let img () =
     Guest.Asm.assemble
-      (read_file (Filename.concat corpus_dir "deadload_sigsegv_1.s"))
+      (read_corpus "deadload_sigsegv_1.s")
   in
   let nat = Fuzz.Diff.run_native (img ()) in
   let jit =
@@ -274,7 +270,7 @@ let test_crash_context_on_refused_translation () =
      context on the tool output stream. *)
   let img =
     Guest.Asm.assemble
-      (read_file (Filename.concat corpus_dir "overlap_decode.s"))
+      (read_corpus "overlap_decode.s")
   in
   let tool, _tot = Fuzz.Diff.witness_tool () in
   let chaos =

@@ -1,26 +1,13 @@
 (* Vgrewind tier-1 tests: record/replay bit-identity across every tool,
-   threaded clients, chaos fault schedules; time-travel (seek / back);
+   threaded clients, chaos fault schedules and every logged decision
+   point; translation flags carried in the log; time-travel (seek / back);
    tool snapshot round-trips; and the satellite bug fixes (massif's
    closing timeline snapshot, the short-IO counter, divergence
    reporting). *)
 
 let t name f = Alcotest.test_case name `Quick f
 
-let all_tools : Vg_core.Tool.t list =
-  [
-    Vg_core.Tool.nulgrind;
-    Tools.Memcheck.tool;
-    Tools.Memcheck.tool_origins;
-    Tools.Cachegrind.tool;
-    Tools.Massif.tool;
-    Tools.Lackey.tool;
-    Tools.Taintgrind.tool;
-    Tools.Annelid.tool;
-    Tools.Redux.tool;
-    Tools.Drd.tool;
-    Tools.Icnt.icnt_inline;
-    Tools.Icnt.icnt_call;
-  ]
+let all_tools = List.map snd Tools.Table.all
 
 (* ---- the program matrix ---------------------------------------------- *)
 
@@ -259,6 +246,112 @@ let test_divergence_detected () =
         (dv_expected <> dv_got)
   | _ -> Alcotest.fail "divergence not detected"
 
+(* ---- every decision stream replays ------------------------------------ *)
+
+let threads4_path =
+  (* dune runtest runs in _build/default/test; dune exec at the root *)
+  if Sys.file_exists "../bench/workloads/threads4.s" then
+    "../bench/workloads/threads4.s"
+  else "bench/workloads/threads4.s"
+
+(* One recording per kind of logged decision: sharded chaos on mcf
+   (cache flushes, condemned translations, retire delays), sharded chaos
+   on the committed threads4 workload at two cores (handoff stalls), and
+   a client that signals itself (an asynchronous delivery).  Each must
+   replay with every digest matching, and together they must consume
+   every stream of the log. *)
+let decision_cells =
+  let sharded () = Some (Chaos.create (Chaos.sharded ~seed:1)) in
+  [
+    ( {
+        pr_name = "mcf";
+        pr_img =
+          (fun () ->
+            Workloads.compile ~scale:1 (Option.get (Workloads.find "mcf")));
+        pr_files = [];
+        pr_cores = [ 1 ];
+      },
+      sharded );
+    ( {
+        pr_name = "threads4.s";
+        pr_img =
+          (fun () ->
+            Guest.Asm.assemble
+              (In_channel.with_open_bin threads4_path In_channel.input_all));
+        pr_files = [];
+        pr_cores = [ 2 ];
+      },
+      sharded );
+    ( {
+        pr_name = "signal";
+        pr_img = (fun () -> Guest.Asm.assemble Test_core.signal_src);
+        pr_files = [];
+        pr_cores = [ 1 ];
+      },
+      fun () -> None );
+  ]
+
+let test_decision_streams () =
+  let streams =
+    [ "syscalls"; "signals"; "flushes"; "stalls"; "retires"; "condemns" ]
+  in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (pr, chaos) ->
+      List.iter
+        (fun cores ->
+          let s =
+            check_roundtrip ?chaos:(chaos ()) ~tool:Vg_core.Tool.nulgrind
+              ~cores pr
+          in
+          List.iter
+            (fun k ->
+              match
+                Obs.Registry.find_i64 s.Vg_core.Session.metrics ("replay." ^ k)
+              with
+              | Some n when n > 0L -> Hashtbl.replace seen k ()
+              | _ -> ())
+            streams)
+        pr.pr_cores)
+    decision_cells;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("some recording replays " ^ k) true
+        (Hashtbl.mem seen k))
+    streams
+
+(* ---- a log carries its translation flags ------------------------------ *)
+
+(* A recording under non-default translation flags replays only under
+   the same flags; [Session.replay_options] must restore them from the
+   log's "options" meta, as both drivers rely on. *)
+let test_replay_options () =
+  let hello = List.hd progs in
+  let flags =
+    {
+      Vg_core.Session.default_options with
+      chaining = false;
+      smc_mode = Vg_core.Session.Smc_all;
+      tier0 = false;
+      superblocks = false;
+    }
+  in
+  let rec_ = Replay.recorder () in
+  Replay.add_meta rec_ "options" (Vg_core.Session.encode_options flags);
+  let tool = Vg_core.Tool.nulgrind in
+  let options = { flags with rr = Replay.Record rec_ } in
+  let recording = Vg_core.Session.create ~options ~tool (hello.pr_img ()) in
+  ignore (Vg_core.Session.run recording);
+  let p = Replay.player_of_string (Replay.to_string rec_) in
+  let options = Vg_core.Session.replay_options p in
+  Alcotest.(check string) "flags restored"
+    (Vg_core.Session.encode_options flags)
+    (Vg_core.Session.encode_options options);
+  let s = Vg_core.Session.create ~options ~tool (hello.pr_img ()) in
+  ignore (Vg_core.Session.run s);
+  Alcotest.(check (list string)) "no digest mismatches" []
+    (List.map (fun (k, _, _) -> k) (Vg_core.Session.replay_mismatches s))
+
 (* ---- time travel: seek lands on the exact state ---------------------- *)
 
 let state_of (s : Vg_core.Session.t) =
@@ -397,4 +490,6 @@ let tests =
     t "back steps across superblock formation" test_back_across_superblocks;
     t "tool snapshots round-trip" test_tool_snapshot_roundtrip;
     t "log codec round-trips" test_log_codec_roundtrip;
+    t "every decision stream records and replays" test_decision_streams;
+    t "replay options come from the log" test_replay_options;
   ]
